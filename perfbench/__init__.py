@@ -1,0 +1,5 @@
+"""The repository's benchmark: three workloads timed at the caller.
+
+Run it as ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>``; see ``perfbench/README.md``.
+"""
