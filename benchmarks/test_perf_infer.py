@@ -10,9 +10,7 @@ Second-generation additions: the **shape-churn scenario** pits the
 polymorphic engine (one compile at its batch capacity, every batch size
 served from stride-adjusted views, zero rebuilds after warmup) against
 the v1 per-batch-shape behavior (each new coalesced size pays a tape
-rebuild + probe on the hot path) and demands >= 2x; the **precision
-sweep** records float32/mixed/int8 throughput and probe error into the
-trajectory JSON.
+rebuild + probe on the hot path) and demands >= 2x.
 """
 
 from __future__ import annotations
@@ -46,15 +44,24 @@ CHURN_REQUESTS = 40
 CHURN_MAX_BATCH = 64
 
 
-def _best_seconds_per_call(fn, x, repeats: int = 15, inner: int = 30) -> float:
-    """Best-of-``repeats`` mean call time — robust to scheduler noise."""
-    fn(x)  # warm-up: builds plans / tensors outside the timed region
-    best = float("inf")
+def _best_seconds_per_call(fns, x, repeats: int = 15,
+                           inner: int = 30) -> list[float]:
+    """Best-of-``repeats`` mean call time of each of ``fns``.
+
+    The functions are timed in interleaved rounds, so a speed change of
+    the machine during the measurement hits all of them alike and their
+    ratio stays meaningful.
+    """
+    for fn in fns:
+        fn(x)  # warm-up: builds plans / tensors outside the timed region
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn(x)
-        best = min(best, (time.perf_counter() - start) / inner)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(inner):
+                fn(x)
+            best[index] = min(best[index],
+                              (time.perf_counter() - start) / inner)
     return best
 
 
@@ -92,8 +99,8 @@ def test_compiled_engine_speedup(benchmark, tmp_path_factory):
                 engine.predict(x), student.predict(x),
                 err_msg="compiled engine must be bitwise identical "
                 "to the module forward")
-            module_s = _best_seconds_per_call(student.predict, x)
-            compiled_s = _best_seconds_per_call(engine.predict, x)
+            module_s, compiled_s = _best_seconds_per_call(
+                (student.predict, engine.predict), x)
             result["batches"][str(batch)] = {
                 "module_windows_per_s": batch / module_s,
                 "compiled_windows_per_s": batch / compiled_s,
@@ -216,37 +223,6 @@ def test_compiled_engine_speedup(benchmark, tmp_path_factory):
             f"shape-polymorphic plan under batch-size churn, got "
             f"{churn_speedup:.2f}x")
 
-        # ----------------------------------------------------------
-        # Precision sweep: float32 / mixed / int8 throughput + error.
-        # ----------------------------------------------------------
-        sweep = {}
-        reference = {batch: engine.predict(windows[:batch])
-                     for batch in (1, 64)}
-        for precision in ("float32", "mixed", "int8"):
-            eng = CompiledStudent(student, precision=precision,
-                                  max_batch=64)
-            row: dict = {}
-            for batch in (1, 64):
-                x = windows[:batch]
-                seconds = _best_seconds_per_call(eng.predict, x)
-                row[f"windows_per_s_b{batch}"] = batch / seconds
-                error = float(np.abs(
-                    eng.predict(x).astype(np.float64)
-                    - reference[batch].astype(np.float64)).max())
-                row[f"max_abs_error_b{batch}"] = error
-            if precision == "float32":
-                assert row["max_abs_error_b1"] == 0.0  # bitwise mode
-            else:
-                row["probe_report"] = {
-                    k: v for k, v in eng.probe_report.items()
-                    if k != "modules"}
-                row["worst_module_rel_error"] = max(
-                    eng.probe_report["modules"].values(), default=0.0)
-            if precision == "int8":
-                row["weight_bytes_int8"] = eng.quantized_nbytes
-                row["weight_bytes_float32"] = eng.projection_nbytes
-            sweep[precision] = row
-        result["precision_sweep"] = sweep
         return result
 
     result = run_once(benchmark, run)

@@ -277,9 +277,10 @@ class DtypeHygieneRule(Rule):
     ``repro/infer`` or ``repro/nn`` silently doubles memory and breaks
     the bitwise module-vs-compiled parity contract.  Explicit float64
     (``dtype=np.float64``, ``astype(np.float64)``, ``astype(float)``)
-    is equally an error — the sanctioned high-precision accumulators
-    (mixed-precision statistics, the grad-norm fix from PR 4) carry
-    ``# repro: allow[dtype-hygiene]`` suppressions with justifications.
+    is equally an error — a sanctioned wide accumulator (the float64
+    squared-norm sum in ``clip_grad_norm``, where a float32 dot
+    overflows) carries a ``# repro: allow[dtype-hygiene]`` suppression
+    with its justification.
     """
 
     id = "dtype-hygiene"
@@ -320,7 +321,7 @@ class DtypeHygieneRule(Rule):
                     module, node,
                     "explicit float64 breaks the hot path's float32 "
                     "discipline; use np.float32, or suppress with a "
-                    "justification for deliberate high-precision "
+                    "justification for deliberate float64 "
                     "accumulation")
 
     @staticmethod

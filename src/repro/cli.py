@@ -25,11 +25,9 @@ constructing a trainer or pretraining a CLM.  Those four subcommands
 take ``--engine {module,compiled}`` selecting the inference engine:
 ``compiled`` (the default) runs the tape-free :mod:`repro.infer`
 forward, bitwise identical to the autograd module path and several
-times faster per window.  ``--precision {float32,mixed,int8}`` selects
-the compiled engine's numeric mode (reduced modes are gated by a
-compile-time error budget; see ``repro.infer.ErrorBudget``), and
-``serve``/``stream`` take ``--serve-threads`` to drain batches for
-different models concurrently.
+times faster per window.  ``serve``/``stream`` take
+``--serve-threads`` to drain batches for different models
+concurrently.
 
 ``stream`` can persist its online state: ``--snapshot-dir`` keeps
 versioned snapshots plus a per-tick WAL (``--snapshot-every N``
@@ -83,7 +81,7 @@ from .experiments.common import (
     run_model,
     strip_private,
 )
-from .persist import atomic_save_array
+from .persist import atomic_save_array, atomic_write_json
 
 __all__ = ["main"]
 
@@ -117,35 +115,14 @@ def _engine_type(value: str) -> str:
         raise argparse.ArgumentTypeError(str(error))
 
 
-def _precision_type(value: str) -> str:
-    """argparse type hook: fail fast with the canonical precision message."""
-    from .infer import resolve_precision
-
-    try:
-        return resolve_precision(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
 def _add_engine(parser: argparse.ArgumentParser) -> None:
-    from .infer import ENGINES, PRECISIONS
+    from .infer import ENGINES
 
     parser.add_argument("--engine", default="compiled", type=_engine_type,
                         metavar="{" + ",".join(ENGINES) + "}",
                         help="inference engine: the tape-free compiled "
                              "numpy forward (default) or the autograd "
-                             "module path; both are bitwise identical at "
-                             "float32 precision")
-    parser.add_argument("--precision", default="float32",
-                        type=_precision_type,
-                        metavar="{" + ",".join(PRECISIONS) + "}",
-                        help="compiled-engine numeric mode: float32 "
-                             "(bitwise parity, default), mixed (float64 "
-                             "accumulation for reductions) or int8 "
-                             "(per-channel quantized projections); "
-                             "reduced modes require --engine compiled and "
-                             "are rejected at compile time if the probe "
-                             "error exceeds the error budget")
+                             "module path; both are bitwise identical")
 
 
 def _positive_int(flag: str):
@@ -209,20 +186,6 @@ def _add_shard(parser: argparse.ArgumentParser) -> None:
                              "--workers > 1)")
 
 
-def _check_engine_flags(parser: argparse.ArgumentParser, args) -> None:
-    """Cross-flag validation that argparse types cannot see."""
-    if getattr(args, "precision", "float32") != "float32":
-        if getattr(args, "engine", "compiled") != "compiled":
-            parser.error(
-                f"--precision {args.precision} requires --engine compiled "
-                f"(the module path is float32-only)")
-        if getattr(args, "verify", False):
-            parser.error(
-                f"--verify asserts bitwise parity with offline predict, "
-                f"which only holds at --precision float32 "
-                f"(got {args.precision})")
-
-
 def _check_stream_flags(parser: argparse.ArgumentParser, args) -> None:
     """Durability flags all hang off --snapshot-dir."""
     if getattr(args, "snapshot_dir", None):
@@ -257,8 +220,7 @@ def _make_service(args):
     from .serve import ForecastService
 
     kwargs = dict(max_models=args.max_models, max_batch=args.max_batch,
-                  engine=args.engine, precision=args.precision,
-                  serve_threads=args.serve_threads)
+                  engine=args.engine, serve_threads=args.serve_threads)
     if args.workers is None:
         return ForecastService(args.artifacts, **kwargs)
     from .shard import DEFAULT_VNODES, ShardRouter
@@ -327,8 +289,7 @@ def _cmd_evaluate(args) -> int:
     config = model.config
     data = _data(args, history_length=config.history_length,
                  horizon=config.horizon)
-    metrics = model.evaluate(data.test, engine=args.engine,
-                             precision=args.precision)
+    metrics = model.evaluate(data.test, engine=args.engine)
     print(f"test MSE={metrics['mse']:.4f} MAE={metrics['mae']:.4f}")
     return 0
 
@@ -354,8 +315,7 @@ def _cmd_predict(args) -> int:
         from .serve import ForecastService
 
         with ForecastService(os.path.dirname(os.path.abspath(
-                args.artifact)), engine=args.engine,
-                precision=args.precision) as service:
+                args.artifact)), engine=args.engine) as service:
             batch = windows[None] if windows.ndim == 2 else windows
             dataset = metadata.get("dataset") or None
             futures = [service.submit(window, dataset=dataset,
@@ -368,8 +328,7 @@ def _cmd_predict(args) -> int:
     else:
         model = TimeKDForecaster.from_artifact(args.artifact)
         forecast = model.predict(windows, raw_values=args.raw,
-                                 engine=args.engine,
-                                 precision=args.precision)
+                                 engine=args.engine)
     print(f"forecast shape: {np.asarray(forecast).shape} "
           f"(horizon {config.horizon}, "
           f"{config.num_variables} variables)")
@@ -433,8 +392,6 @@ def _make_stats_writer(path: str, collect, drain_actions: list):
     incident it exists to explain.  ``collect()`` is called at write
     time (after the drain), so the dump reflects final counters.
     """
-    from .durable import atomic_write_json
-
     def write(extra: dict | None = None) -> None:
         payload = collect()
         if extra:
@@ -459,7 +416,6 @@ def _cmd_serve(args) -> int:
             def _collect() -> dict:
                 payload = service.snapshot().as_dict()
                 payload["engine"] = service.engine
-                payload["precision"] = service.precision
                 return payload
             write_stats = _make_stats_writer(
                 args.stats_out, _collect, drain_actions)
@@ -467,7 +423,7 @@ def _cmd_serve(args) -> int:
         sharded = (f", {args.workers} shard worker(s)"
                    if args.workers is not None else "")
         print(f"serving {len(keys)} artifact(s) from {args.artifacts} "
-              f"[{service.engine} engine, {service.precision}, "
+              f"[{service.engine} engine, "
               f"{service.serve_threads} drain thread(s){sharded}]: "
               f"{sorted(keys)}")
         key = service.resolve_key(args.dataset, args.horizon)
@@ -719,7 +675,7 @@ def _cmd_gateway(args) -> int:
               f"artifact(s) from {args.artifacts}, "
               f"{len(registry.keys())} API key(s), quota {args.quota} "
               f"unit(s), admission bound {args.max_pending} "
-              f"[{service.engine} engine, {service.precision}{sharded}]",
+              f"[{service.engine} engine{sharded}]",
               flush=True)
         try:
             # Runs until SIGINT/SIGTERM raises SystemExit out of the
@@ -754,7 +710,6 @@ def _cmd_lint(args) -> int:
 
     from .analyze import (all_rules, analyze_paths, findings_payload,
                           get_rules, has_failures, render_text)
-    from .persist import atomic_write_json
 
     if args.list_rules:
         for rule in all_rules():
@@ -1017,7 +972,6 @@ def main(argv: list[str] | None = None) -> int:
     lint.set_defaults(func=_cmd_lint)
 
     args = parser.parse_args(argv)
-    _check_engine_flags(parser, args)
     _check_stream_flags(parser, args)
     _check_shard_flags(parser, args)
     return args.func(args)

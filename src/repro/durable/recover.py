@@ -135,8 +135,8 @@ def verify_chain(directory: str, snapshot_path, arrays, forecaster, *,
                  strict_wal: bool = True):
     """Verify one chain end to end → ``(state, records, snapshot_seq)``.
 
-    Checks the snapshot's format/digest/config-identity/artifact
-    provenance and the contiguity of the WAL chain after it, without
+    Checks the snapshot's format/digest/numeric mode/config-identity/
+    artifact provenance and the contiguity of the WAL chain after it, without
     touching any live state (the recoverer's *verifying* stage).
     ``state`` is ``None`` for a WAL-only bootstrap; ``records`` are the
     verified ticks to replay.  Failures raise
@@ -154,6 +154,15 @@ def verify_chain(directory: str, snapshot_path, arrays, forecaster, *,
         except SnapshotError as error:
             raise ChainVerificationError(
                 str(error), snapshot_path=snapshot_path) from error
+        # Older engines had reduced-precision modes and stamped them
+        # here; such a snapshot caches non-float32 forecasts that a
+        # float32 process must not re-serve as its own.
+        precision = meta.get("precision", "float32")
+        if precision != "float32":
+            raise ChainVerificationError(
+                f"unsupported snapshot precision {precision!r}: only "
+                f"float32 snapshots can be restored",
+                snapshot_path=snapshot_path)
         mismatch = _config_mismatch(config, live_config)
         if mismatch is not None:
             raise ChainVerificationError(

@@ -35,6 +35,9 @@ from .recover import (
     ChainVerificationError,
     RecoveryStages,
     RecoveryState,
+    StatefulRecoverer,
+    locate_chain,
+    verify_chain,
 )
 from .snapshot import StreamSnapshotter, snapshot_shards
 from .wal import wal_shards
@@ -134,42 +137,15 @@ def _sum_stream_stats(states: list[dict]) -> dict:
     return merged.as_dict()
 
 
-class ShardedRecoverer:
+class ShardedRecoverer(StatefulRecoverer):
     """Staged, fail-closed recovery of an N-shard streaming universe.
 
-    The stage machine is the single-process one
-    (:class:`~repro.durable.recover.RecoveryStages`); ``detail`` gains
-    a per-source-shard breakdown plus ``resharded`` — whether entries
-    were re-routed through the target ring instead of imported
-    chain-for-chain.
+    Inherits the single-process stage machine (``state``/``history``
+    and the stage transitions); only :meth:`recover` differs.
+    ``detail`` gains a per-source-shard breakdown plus ``resharded`` —
+    whether entries were re-routed through the target ring instead of
+    imported chain-for-chain.
     """
-
-    def __init__(self):
-        self._state = RecoveryState()
-        self.history: list[RecoveryStages] = [RecoveryStages.INACTIVE]
-
-    def state(self) -> RecoveryState:
-        return self._state
-
-    def _enter(self, stage: RecoveryStages) -> None:
-        self._state = RecoveryState(stage=stage, detail=self._state.detail)
-        self.history.append(stage)
-
-    def _fail(self, reason: str, **detail) -> RecoveryState:
-        merged = dict(self._state.detail)
-        merged.update(detail)
-        self._state = RecoveryState(stage=RecoveryStages.FAILED,
-                                    failure_reason=reason, detail=merged)
-        self.history.append(RecoveryStages.FAILED)
-        return self._state
-
-    def _succeed(self, **detail) -> RecoveryState:
-        merged = dict(self._state.detail)
-        merged.update(detail)
-        self._state = RecoveryState(stage=RecoveryStages.SUCCEEDED,
-                                    detail=merged)
-        self.history.append(RecoveryStages.SUCCEEDED)
-        return self._state
 
     # ------------------------------------------------------------------
     # the recovery pipeline
@@ -183,8 +159,6 @@ class ShardedRecoverer:
         — they need not match.  Never raises for recovery failures;
         returns the final :class:`RecoveryState`.
         """
-        from .recover import locate_chain, verify_chain
-
         # ---- reading ------------------------------------------------
         self._enter(RecoveryStages.READING)
         labels = sorted(

@@ -480,7 +480,6 @@ class Gateway:
             forecasters = dict(self._forecasters)
         service = self.service.snapshot().as_dict()
         service["engine"] = self.service.engine
-        service["precision"] = self.service.precision
         streams = {f"{key[0]}:{key[1]}": fc.snapshot()["stream"]
                    for key, fc in forecasters.items()}
         return {"gateway": gateway, "service": service,

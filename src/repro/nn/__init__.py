@@ -7,7 +7,7 @@ Pre-LN transformers, optimizers and schedulers.
 
 from . import functional, init
 from .attention import MultiHeadAttention, causal_mask
-from .buffers import ScratchPool, donate, donate_parameters, quantize_per_channel
+from .buffers import ScratchPool, donate, donate_parameters
 from .dropout import Dropout
 from .embedding import Embedding, PositionalEncoding, SinusoidalPositionalEncoding
 from .linear import Linear
@@ -32,7 +32,6 @@ __all__ = [
     "ScratchPool",
     "donate",
     "donate_parameters",
-    "quantize_per_channel",
     "Parameter",
     "Module",
     "ModuleList",

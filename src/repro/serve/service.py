@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core.student import StudentModel
-from ..infer import CompiledStudent, resolve_engine, resolve_precision
+from ..infer import CompiledStudent, resolve_engine
 from .artifact import (
     ArtifactError,
     StudentArtifact,
@@ -194,14 +194,8 @@ class ForecastService:
         Inference engine for the batched forwards: ``"module"`` (the
         autograd student under ``no_grad``) or ``"compiled"`` (a
         tape-free :class:`repro.infer.CompiledStudent` built per LRU
-        entry at load time).  At default precision the engines are
-        bitwise identical — switching never changes a served forecast,
-        only its cost.
-    precision:
-        Numeric mode for compiled engines (``"float32"``, ``"mixed"``,
-        ``"int8"``; see :data:`repro.infer.PRECISIONS`).  Reduced modes
-        are error-budget-gated at load time and require
-        ``engine="compiled"``.
+        entry at load time).  The engines are bitwise identical —
+        switching never changes a served forecast, only its cost.
     serve_threads:
         Worker threads draining the queue.  ``1`` (default) keeps the
         single-threaded drain; ``N > 1`` runs up to N *different
@@ -230,7 +224,7 @@ class ForecastService:
 
     def __init__(self, artifact_dir: str, max_models: int = 4,
                  max_batch: int = 64, engine: str = "module",
-                 precision: str = "float32", serve_threads: int = 1):
+                 serve_threads: int = 1):
         if max_models < 1:
             raise ValueError("max_models must be >= 1")
         if max_batch < 1:
@@ -241,11 +235,6 @@ class ForecastService:
         self.max_models = int(max_models)
         self.max_batch = int(max_batch)
         self.engine = resolve_engine(engine)
-        self.precision = resolve_precision(precision)
-        if self.precision != "float32" and self.engine != "compiled":
-            raise ValueError(
-                f"precision={self.precision!r} requires engine='compiled' "
-                f"(the module path is float32-only)")
         self.serve_threads = int(serve_threads)
         self.stats = ServiceStats()
 
@@ -399,8 +388,7 @@ class ForecastService:
         # max_batch doubles as the engine's batch capacity: the one
         # compile stall happens here, at load time, and no coalesced
         # batch size can ever trigger a rebuild on the request path.
-        compiled = (CompiledStudent(student, precision=self.precision,
-                                    max_batch=self.max_batch)
+        compiled = (CompiledStudent(student, max_batch=self.max_batch)
                     if self.engine == "compiled" else None)
         model = _LoadedModel(artifact, student, compiled)
         with self._lock:

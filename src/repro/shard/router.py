@@ -160,10 +160,6 @@ class ShardRouter:
         return self.workers[0].service.engine
 
     @property
-    def precision(self) -> str:
-        return self.workers[0].service.precision
-
-    @property
     def serve_threads(self) -> int:
         return self.workers[0].service.serve_threads
 

@@ -49,12 +49,10 @@ class ShardedStreamingForecaster:
     def __init__(self, router: ShardRouter, dataset: str | None = None,
                  horizon: int | None = None, **forecaster_kwargs):
         self.router = router
-        self.shards: list[StreamingForecaster] = []
-        for worker in router.workers:
-            forecaster = StreamingForecaster(
-                worker.service, dataset, horizon, **forecaster_kwargs)
-            worker.forecaster = forecaster
-            self.shards.append(forecaster)
+        self.shards: list[StreamingForecaster] = [
+            StreamingForecaster(worker.service, dataset, horizon,
+                                **forecaster_kwargs)
+            for worker in router.workers]
         template = self.shards[0]
         self.model_key = template.model_key
         self.input_len = template.input_len
@@ -164,7 +162,6 @@ class ShardedStreamingForecaster:
         stream["workers"] = len(self.shards)
         service = self.router.snapshot().as_dict()
         service["engine"] = self.router.engine
-        service["precision"] = self.router.precision
         service["serve_threads"] = self.router.serve_threads
         return {"stream": stream, "service": service}
 

@@ -352,7 +352,6 @@ class StreamingForecaster:
             stream["alarmed"] = len(self.alarmed_keys())
         service = self.service.snapshot().as_dict()
         service["engine"] = self.service.engine
-        service["precision"] = self.service.precision
         service["serve_threads"] = self.service.serve_threads
         return {"stream": stream, "service": service}
 
@@ -488,9 +487,9 @@ class StreamingForecaster:
         """Write a durable snapshot of the full universe to ``path``.
 
         Convenience around :func:`repro.durable.snapshot.write_snapshot`
-        — stamps the bundle's weight digest plus the live engine and
-        precision so recovery can verify it is importing into a
-        compatible serving process.  Returns the written path.
+        — stamps the bundle's weight digest plus the live engine so
+        recovery can verify it is importing into a compatible serving
+        process.  Returns the written path.
         """
         from ..durable.snapshot import write_snapshot
         from ..serve.artifact import ArtifactError, read_artifact_digest
@@ -503,8 +502,7 @@ class StreamingForecaster:
             except (KeyError, ArtifactError):
                 digest = None
             return write_snapshot(path, state, artifact_digest=digest,
-                                  engine=self.service.engine,
-                                  precision=self.service.precision)
+                                  engine=self.service.engine)
 
     def restore_from(self, source: str, *, replay_wal: bool = True,
                      strict_wal: bool = True, recoverer=None):

@@ -48,12 +48,6 @@ class TestCLI:
         assert code == 0
         assert "test MSE=" in capsys.readouterr().out
 
-        code = main(["evaluate", "--dataset", "ETTm1", "--length", "500",
-                     "--artifact", out, "--engine", "compiled",
-                     "--precision", "mixed"])
-        assert code == 0
-        assert "test MSE=" in capsys.readouterr().out
-
         preds = os.path.join(tmp_path, "preds.npy")
         code = main(["predict", "--artifact", out, "--dataset", "ETTm1",
                      "--length", "500", "--raw", "--out", preds])
@@ -132,7 +126,7 @@ class TestCLI:
 
 
 class TestEngineFlagValidation:
-    """--engine/--precision fail fast at the parser, never deep inside."""
+    """--engine fails fast at the parser, never deep inside."""
 
     def test_unknown_engine_rejected_with_clear_message(self, capsys):
         with pytest.raises(SystemExit):
@@ -141,25 +135,6 @@ class TestEngineFlagValidation:
         assert "unknown inference engine 'jit'" in err
         assert "'module', 'compiled'" in err
 
-    def test_unknown_precision_rejected_with_clear_message(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["predict", "--artifact", "x.npz",
-                  "--precision", "bf16"])
-        err = capsys.readouterr().err
-        assert "unknown engine precision 'bf16'" in err
-
-    def test_reduced_precision_requires_compiled_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--artifacts", "nowhere", "--engine", "module",
-                  "--precision", "int8"])
-        assert "requires --engine compiled" in capsys.readouterr().err
-
-    def test_stream_verify_requires_float32(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["stream", "--artifacts", "nowhere", "--verify",
-                  "--precision", "mixed"])
-        assert "--precision float32" in capsys.readouterr().err
-
     def test_help_documents_engine_flags(self, capsys):
         for command in ("evaluate", "predict", "serve", "stream"):
             with pytest.raises(SystemExit) as excinfo:
@@ -167,7 +142,6 @@ class TestEngineFlagValidation:
             assert excinfo.value.code == 0
             out = capsys.readouterr().out
             assert "--engine" in out
-            assert "--precision" in out
         for command in ("serve", "stream"):
             with pytest.raises(SystemExit) as excinfo:
                 main([command, "--help"])

@@ -31,7 +31,6 @@ from repro.durable import (
     TickWAL,
     TornWALError,
     WALError,
-    atomic_write_json,
     decode_key,
     disarm_all,
     encode_key,
@@ -46,6 +45,7 @@ from repro.durable import (
 )
 from repro.durable.faults import torn_tail
 from repro.nn.serialization import load_arrays, save_arrays
+from repro.persist import arrays_digest, atomic_write_json
 
 L, N, M = 32, 3, 8
 
@@ -612,6 +612,78 @@ class TestInjectedFaults:
         assert state.stage is RecoveryStages.FAILED
         assert "no snapshot found" in state.failure_reason
         assert RecoveryStages.VERIFYING not in recoverer.history
+        service.close()
+
+
+def restamp_meta(path: str, **fields) -> None:
+    """Rewrite a snapshot's ``__meta__`` and re-seal its digest.
+
+    The result is a well-formed, digest-valid snapshot as an older build
+    could have written it, so only the metadata check can reject it.
+    """
+    arrays = load_arrays(path)
+    meta = json.loads(str(arrays["__meta__"]))
+    meta.update(fields)
+    arrays["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    arrays["__digest__"] = np.array(
+        arrays_digest(arrays, skip=("__digest__",)))
+    save_arrays(path, arrays)
+
+
+def live_fingerprint(forecaster) -> tuple:
+    """Everything recovery could overwrite, in comparable form."""
+    rows = []
+    for key in sorted(forecaster.keys(), key=str):
+        series = forecaster.state(key)
+        rows.append((str(key), series.count, series._buffer.tobytes(),
+                     series.mean.tobytes(), series._m2.tobytes(),
+                     forecaster.monitor(key).as_dict()))
+    return forecaster.seq, forecaster.stats.as_dict(), rows
+
+
+class TestLegacyPrecisionStamp:
+    """Snapshots from builds with reduced-precision engines fail closed.
+
+    Such a snapshot caches forecasts computed in a non-float32 mode; a
+    float32 process that imported it would re-serve them as its own.
+    """
+
+    def test_int8_stamped_snapshot_fails_before_import(
+            self, bundle_dir, walk, tmp_path):
+        snapdir = str(tmp_path / "snaps")
+        snapshot_after_replay(bundle_dir, walk, snapdir)
+        restamp_meta(latest_snapshot(snapdir), precision="int8")
+        service, forecaster = make_forecaster(bundle_dir)
+        replay(forecaster, walk, key=("live", "series"), max_ticks=30)
+        before = live_fingerprint(forecaster)
+        recoverer = StatefulRecoverer()
+        state = recoverer.recover(snapdir, forecaster)
+        assert state.stage is RecoveryStages.FAILED
+        assert state.failure_reason.startswith(
+            "unsupported snapshot precision 'int8'")
+        assert recoverer.history[-2:] == [
+            RecoveryStages.VERIFYING, RecoveryStages.FAILED]
+        assert live_fingerprint(forecaster) == before  # untouched
+        service.close()
+
+    def test_float32_stamp_still_restores(self, bundle_dir, walk,
+                                          tmp_path):
+        snapdir = str(tmp_path / "snaps")
+        snapshot_after_replay(bundle_dir, walk, snapdir)
+        restamp_meta(latest_snapshot(snapdir), precision="float32")
+        service, forecaster = make_forecaster(bundle_dir)
+        state = StatefulRecoverer().recover(snapdir, forecaster)
+        assert state.stage is RecoveryStages.SUCCEEDED
+        service.close()
+
+    def test_snapshots_no_longer_carry_the_stamp(self, bundle_dir, walk,
+                                                 tmp_path):
+        service, forecaster = make_forecaster(bundle_dir)
+        replay(forecaster, walk, max_ticks=20)
+        path = forecaster.snapshot_to(str(tmp_path / "snap.npz"))
+        meta = json.loads(str(load_arrays(path)["__meta__"]))
+        assert "precision" not in meta
+        assert meta["engine"] == "module"
         service.close()
 
 

@@ -430,31 +430,8 @@ class TestThreadedDrain:
         assert stats["plan_rebuilds"] == 0
         assert stats["plan_misses"] == 0
 
-    def test_int8_service_stays_within_budget_of_float32(self, tmp_path):
-        from repro.infer import ErrorBudget
-
-        config, _ = make_bundle(os.path.join(tmp_path, "m.npz"))
-        window = np.random.default_rng(9).normal(
-            size=(config.history_length,
-                  config.num_variables)).astype(np.float32)
-        with ForecastService(str(tmp_path), engine="compiled") as service:
-            exact = service.predict(window).astype(np.float64)
-        with ForecastService(str(tmp_path), engine="compiled",
-                             precision="int8") as service:
-            assert service.precision == "int8"
-            served = service.predict(window).astype(np.float64)
-        budget = ErrorBudget()
-        scale = np.abs(exact).max()
-        assert np.abs(served - exact).max() <= 2 * (
-            budget.max_abs + budget.max_rel * scale)
-
-    def test_invalid_engine_precision_combinations_fail_fast(self, tmp_path):
+    def test_invalid_serve_threads_fails_fast(self, tmp_path):
         make_bundle(os.path.join(tmp_path, "m.npz"))
-        with pytest.raises(ValueError, match="unknown engine precision"):
-            ForecastService(str(tmp_path), precision="fp16")
-        with pytest.raises(ValueError, match="requires engine='compiled'"):
-            ForecastService(str(tmp_path), engine="module",
-                            precision="int8")
         with pytest.raises(ValueError, match="serve_threads"):
             ForecastService(str(tmp_path), serve_threads=0)
 

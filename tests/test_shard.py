@@ -37,7 +37,7 @@ from repro.shard import (
 )
 from repro.stream import StreamingForecaster, replay, verify_parity
 
-from test_durable import M, N, make_bundle
+from test_durable import M, N, live_fingerprint, make_bundle, restamp_meta
 
 KEYS = [("tenant", f"s{index}") for index in range(40)]
 
@@ -456,6 +456,26 @@ class TestShardedDurability:
         assert fresh.keys() == []  # nothing imported, not even shard 0
         with pytest.raises(RecoveryError):
             fresh.restore_from(snapdir, replay_wal=False)
+        fresh_router.close()
+
+    def test_int8_stamped_shard_fails_before_import(self, bundle_dir,
+                                                    walk, tmp_path):
+        snapdir = str(tmp_path / "snaps")
+        router, _, paths = sharded_run_with_snapshots(
+            bundle_dir, walk, snapdir, workers=2)
+        router.close()
+        restamp_meta(paths[1], precision="int8")
+
+        fresh_router, fresh = make_sharded(bundle_dir, workers=2)
+        feed(fresh, walk, KEYS[4:6], ticks=10)  # live state too
+        before = [live_fingerprint(shard) for shard in fresh.shards]
+        recoverer = ShardedRecoverer()
+        state = recoverer.recover(snapdir, fresh)
+        assert state.stage is RecoveryStages.FAILED
+        assert state.failure_reason.startswith(
+            "shard 1: unsupported snapshot precision 'int8'")
+        assert RecoveryStages.IMPORTING not in recoverer.history
+        assert [live_fingerprint(shard) for shard in fresh.shards] == before
         fresh_router.close()
 
     def test_mid_import_crash_clears_every_shard(self, bundle_dir, walk,
